@@ -53,36 +53,40 @@ func stripCPU(name string) string {
 	return name[:i]
 }
 
-// indexDoc keys a document's ns/op metrics. The GOMAXPROCS suffix is
-// stripped so a baseline recorded on an 8-core box matches a 4-core CI
-// runner — except for cpu-sweep benchmarks (the same name at several -cpu
-// values), which keep their full names because the suffix is the datum.
-func indexDoc(doc document) map[string]float64 {
-	counts := map[string]int{}
-	for _, r := range doc.Results {
-		counts[r.Pkg+"\x00"+stripCPU(r.Name)]++
-	}
+// indexDoc keys a document's ns/op metrics by pkg-qualified name. The
+// GOMAXPROCS suffix is stripped so a baseline recorded on an 8-core box
+// matches a 4-core CI runner. Two results under one key (a repeated run or
+// a -cpu sweep) are an error: the gate would otherwise read whichever came
+// last.
+func indexDoc(doc document) (map[string]float64, error) {
 	out := map[string]float64{}
 	for _, r := range doc.Results {
 		ns, ok := r.Metrics["ns/op"]
 		if !ok {
 			continue
 		}
-		name := stripCPU(r.Name)
-		if counts[r.Pkg+"\x00"+name] > 1 {
-			name = r.Name
+		key := r.Pkg + ": " + stripCPU(r.Name)
+		if _, dup := out[key]; dup {
+			return nil, fmt.Errorf("duplicate benchmark %s", key)
 		}
-		out[r.Pkg+": "+name] = ns
+		out[key] = ns
 	}
-	return out
+	return out, nil
 }
 
 // diffDocs compares two artifacts. A gated benchmark (name matching gate;
 // nil gates everything) fails the diff when its ns/op grew more than
 // threshold, or when it vanished from the candidate — a silent rename must
 // not disable the gate. Ungated and improved entries are informational.
-func diffDocs(oldDoc, newDoc document, threshold float64, gate *regexp.Regexp) (rows []delta, failed bool) {
-	oldNS, newNS := indexDoc(oldDoc), indexDoc(newDoc)
+func diffDocs(oldDoc, newDoc document, threshold float64, gate *regexp.Regexp) (rows []delta, failed bool, err error) {
+	oldNS, err := indexDoc(oldDoc)
+	if err != nil {
+		return nil, false, fmt.Errorf("baseline: %w", err)
+	}
+	newNS, err := indexDoc(newDoc)
+	if err != nil {
+		return nil, false, fmt.Errorf("candidate: %w", err)
+	}
 	keys := make([]string, 0, len(oldNS)+len(newNS))
 	for k := range oldNS {
 		keys = append(keys, k)
@@ -119,7 +123,7 @@ func diffDocs(oldDoc, newDoc document, threshold float64, gate *regexp.Regexp) (
 		}
 		rows = append(rows, d)
 	}
-	return rows, failed
+	return rows, failed, nil
 }
 
 // runDiff loads, compares and renders the two artifacts, returning whether
@@ -133,7 +137,10 @@ func runDiff(oldPath, newPath string, threshold float64, gate *regexp.Regexp, w 
 	if err != nil {
 		return false, err
 	}
-	rows, failed := diffDocs(oldDoc, newDoc, threshold, gate)
+	rows, failed, err := diffDocs(oldDoc, newDoc, threshold, gate)
+	if err != nil {
+		return false, err
+	}
 	t := &metrics.Table{
 		Title:   fmt.Sprintf("benchmark diff: %s -> %s (gate threshold %+.0f%%)", oldPath, newPath, threshold*100),
 		Headers: []string{"benchmark", "old ns/op", "new ns/op", "delta", "gated", "status"},

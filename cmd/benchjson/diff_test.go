@@ -37,7 +37,10 @@ func TestDiffDocsGate(t *testing.T) {
 		bench("contractshard/internal/chain", "BenchmarkFresh-4", 50),
 	}}
 	gate := regexp.MustCompile("AddBlock|ReopenReplay|Gone")
-	rows, failed := diffDocs(oldDoc, newDoc, 0.15, gate)
+	rows, failed, err := diffDocs(oldDoc, newDoc, 0.15, gate)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !failed {
 		t.Fatal("20% regression on a gated benchmark passed")
 	}
@@ -61,37 +64,57 @@ func TestDiffDocsGate(t *testing.T) {
 	// Within threshold on both sides of zero: no failure, nil gate gates all.
 	calm := document{Results: []result{bench("p", "BenchmarkX-8", 1100)}}
 	base := document{Results: []result{bench("p", "BenchmarkX-8", 1000)}}
-	if _, failed := diffDocs(base, calm, 0.15, nil); failed {
+	if _, failed, _ := diffDocs(base, calm, 0.15, nil); failed {
 		t.Fatal("+10% within a 15% threshold failed")
 	}
-	if _, failed := diffDocs(base, document{Results: []result{bench("p", "BenchmarkX-8", 1200)}}, 0.15, nil); !failed {
+	if _, failed, _ := diffDocs(base, document{Results: []result{bench("p", "BenchmarkX-8", 1200)}}, 0.15, nil); !failed {
 		t.Fatal("+20% under a nil (gate-everything) regexp passed")
 	}
 }
 
 // TestDiffDocsCPUSweep: the -N suffix is stripped so differing core counts
-// still match, except when a benchmark ran at several -cpu values — then
-// the suffix is the datum and full names are kept.
+// still match, which makes a -cpu sweep (one name at several core counts)
+// a duplicate key on either side of the diff — an error, not a silent
+// last-one-wins.
 func TestDiffDocsCPUSweep(t *testing.T) {
-	oldDoc := document{Results: []result{
+	single := document{Results: []result{bench("p", "BenchmarkSingle-8", 700)}}
+	rows, failed, err := diffDocs(single, document{Results: []result{bench("p", "BenchmarkSingle-2", 720)}}, 0.15, nil)
+	if err != nil || failed {
+		t.Fatalf("renamed-suffix single benchmark: failed %v err %v", failed, err)
+	}
+	if st := statuses(rows); st["p: BenchmarkSingle"] != "ok" {
+		t.Fatalf("BenchmarkSingle: %q (all rows: %v)", st["p: BenchmarkSingle"], st)
+	}
+
+	sweep := document{Results: []result{
 		bench("p", "BenchmarkProcessBlock-1", 4000),
 		bench("p", "BenchmarkProcessBlock-4", 1000),
-		bench("p", "BenchmarkSingle-8", 700),
 	}}
-	newDoc := document{Results: []result{
-		bench("p", "BenchmarkProcessBlock-1", 4100),
-		bench("p", "BenchmarkProcessBlock-4", 1050),
-		bench("p", "BenchmarkSingle-2", 720),
-	}}
-	rows, failed := diffDocs(oldDoc, newDoc, 0.15, nil)
-	if failed {
-		t.Fatal("matched sweep + renamed-suffix single benchmark failed")
+	if _, _, err := diffDocs(sweep, single, 0.15, nil); err == nil || !strings.Contains(err.Error(), "baseline: duplicate benchmark p: BenchmarkProcessBlock") {
+		t.Fatalf("cpu sweep in the baseline: err %v", err)
 	}
-	st := statuses(rows)
-	for _, k := range []string{"p: BenchmarkProcessBlock-1", "p: BenchmarkProcessBlock-4", "p: BenchmarkSingle"} {
-		if st[k] != "ok" {
-			t.Fatalf("%s: %q (all rows: %v)", k, st[k], st)
-		}
+	if _, _, err := diffDocs(single, sweep, 0.15, nil); err == nil || !strings.Contains(err.Error(), "candidate: duplicate benchmark p: BenchmarkProcessBlock") {
+		t.Fatalf("cpu sweep in the candidate: err %v", err)
+	}
+}
+
+// TestDiffDocsDuplicateName: the same unsuffixed name twice in one package
+// (a benchmark run twice into one artifact) is rejected, while the same
+// name in two packages is two distinct benchmarks.
+func TestDiffDocsDuplicateName(t *testing.T) {
+	twice := document{Results: []result{
+		bench("p", "BenchmarkProcessBlockSerial", 146215),
+		bench("p", "BenchmarkProcessBlockSerial", 101209),
+	}}
+	if _, _, err := diffDocs(twice, twice, 0.15, nil); err == nil || !strings.Contains(err.Error(), "duplicate benchmark p: BenchmarkProcessBlockSerial") {
+		t.Fatalf("duplicate name: err %v", err)
+	}
+	twoPkgs := document{Results: []result{
+		bench("p", "BenchmarkX", 100),
+		bench("q", "BenchmarkX", 200),
+	}}
+	if _, failed, err := diffDocs(twoPkgs, twoPkgs, 0.15, nil); err != nil || failed {
+		t.Fatalf("same name in two packages: failed %v err %v", failed, err)
 	}
 }
 

@@ -24,7 +24,8 @@
 // It prints a per-benchmark delta table and exits 1 when any benchmark
 // matching -gate got more than -threshold slower (ns/op), or disappeared
 // from the candidate artifact — a rename must not silently disable the
-// gate. Improvements and ungated changes are informational.
+// gate. Improvements and ungated changes are informational. A benchmark
+// named twice in one package of either artifact is an error.
 package main
 
 import (

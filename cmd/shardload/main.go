@@ -13,7 +13,7 @@
 //
 //	go run ./cmd/shardload                     # 10^6 accounts, 32 shards
 //	go run ./cmd/shardload -smoke              # 10^4 accounts, 4 shards
-//	go run ./cmd/shardload -accounts 100000 -shards 8 -workers 4
+//	go run ./cmd/shardload -accounts 100000 -shards 8
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "seed for keys, senders, fees — fixes the final state roots")
 	flag.Float64Var(&cfg.ZipfS, "zipf", cfg.ZipfS, "sender-popularity Zipf skew (<=1 selects 1.2)")
 	flag.IntVar(&cfg.FeeMax, "fee-max", cfg.FeeMax, "per-sender fee cap")
-	flag.IntVar(&cfg.ExecWorkers, "workers", cfg.ExecWorkers, "parallel-execution workers per shard (0 = serial)")
 	flag.IntVar(&cfg.StateHistory, "state-history", cfg.StateHistory, "resident post-states per shard")
 	smoke := flag.Bool("smoke", false, "shrink to the tier-1 smoke scale (10^4 accounts, 4 shards)")
 	quiet := flag.Bool("q", false, "suppress progress lines, print only the final report")

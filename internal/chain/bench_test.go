@@ -17,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"contractshard/internal/contract"
 	"contractshard/internal/crypto"
 	"contractshard/internal/types"
 )
@@ -278,15 +277,12 @@ func BenchmarkIndexedQueries(b *testing.B) {
 	}
 }
 
-// benchProcessChain builds a chain plus a block-sized batch of signed
-// transactions for the execution-engine benchmarks. Conflict-free batches
-// use distinct senders and recipients (fees commute through the coinbase
-// delta, so nothing serializes); hotspot batches all call one counter
-// contract, forcing the engine to fall back to ordered re-execution.
-func benchProcessChain(b *testing.B, workers, nTx int, hotspot bool) (*Chain, []*types.Transaction, types.Address) {
-	b.Helper()
+// BenchmarkProcessBlockSerial executes a 64-tx conflict-free block: distinct
+// senders and recipients, signatures already in the verify cache, so it
+// times execution alone.
+func BenchmarkProcessBlockSerial(b *testing.B) {
+	const nTx = 64
 	cfg := testConfig(1)
-	cfg.ExecWorkers = workers
 	cfg.MaxBlockTxs = nTx
 	alloc := make(map[types.Address]uint64)
 	signers := make([]*crypto.Keypair, nTx)
@@ -294,28 +290,18 @@ func benchProcessChain(b *testing.B, workers, nTx int, hotspot bool) (*Chain, []
 		signers[i] = crypto.KeypairFromSeed(fmt.Sprintf("bench-proc-%d", i))
 		alloc[signers[i].Address()] = 1 << 40
 	}
-	con := types.BytesToAddress([]byte{0xEE})
-	c, err := NewWithContracts(cfg, alloc, map[types.Address][]byte{con: contract.CounterContract()})
+	c, err := New(cfg, alloc)
 	if err != nil {
 		b.Fatal(err)
 	}
 	txs := make([]*types.Transaction, nTx)
 	for i, from := range signers {
-		to := types.BytesToAddress([]byte{0x40, byte(i)})
-		if hotspot {
-			to = con
-		}
-		txs[i] = &types.Transaction{From: from.Address(), To: to, Value: 1, Fee: 1}
+		txs[i] = &types.Transaction{From: from.Address(), To: types.BytesToAddress([]byte{0x40, byte(i)}), Value: 1, Fee: 1}
 		if err := crypto.SignTx(txs[i], from); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return c, txs, types.BytesToAddress([]byte{0xA1})
-}
-
-func benchProcessBlock(b *testing.B, workers int, hotspot bool) {
-	const nTx = 64
-	c, txs, coinbase := benchProcessChain(b, workers, nTx, hotspot)
+	coinbase := types.BytesToAddress([]byte{0xA1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -326,19 +312,3 @@ func benchProcessBlock(b *testing.B, workers int, hotspot bool) {
 		}
 	}
 }
-
-// BenchmarkProcessBlockSerial executes a 64-tx conflict-free block with the
-// reference serial engine — the baseline for the parallel speedup curve.
-func BenchmarkProcessBlockSerial(b *testing.B) { benchProcessBlock(b, 1, false) }
-
-// BenchmarkProcessBlockParallel executes the same block with the optimistic
-// parallel engine. Worker count is capped at GOMAXPROCS, so running with
-// -cpu 1,2,4,8 produces the scaling curve; signature verification dominates
-// per-tx cost and parallelizes perfectly on a conflict-free batch.
-func BenchmarkProcessBlockParallel(b *testing.B) { benchProcessBlock(b, 64, false) }
-
-// BenchmarkProcessBlockParallelHotspot sends every transaction to one
-// counter contract — a worst case where all speculation is wasted and the
-// engine re-executes everything in order. The interesting number is how
-// close it stays to the serial baseline (the overhead of losing).
-func BenchmarkProcessBlockParallelHotspot(b *testing.B) { benchProcessBlock(b, 64, true) }

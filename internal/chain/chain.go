@@ -20,7 +20,6 @@ import (
 
 	"contractshard/internal/contract"
 	"contractshard/internal/crypto"
-	"contractshard/internal/exec"
 	"contractshard/internal/mempool"
 	"contractshard/internal/pow"
 	"contractshard/internal/state"
@@ -80,15 +79,6 @@ type Config struct {
 	// GasPerTx is the execution budget granted to a contract call when the
 	// transaction does not set one.
 	GasPerTx uint64
-	// ExecWorkers selects the block-body execution engine: 0 or 1 executes
-	// transactions serially (the reference semantics), larger values enable
-	// the optimistic parallel engine (internal/exec) with that many
-	// speculation workers, capped at GOMAXPROCS. The parallel engine is
-	// bit-identical to serial — same state roots, same receipts — so the
-	// knob is purely a performance choice (see DESIGN.md "Parallel
-	// intra-shard execution").
-	ExecWorkers int
-
 	// StateHistory, when positive, bounds the resident full post-states:
 	// only the last StateHistory canonical blocks keep their state in
 	// memory, plus genesis and the periodic checkpoints below. Older states
@@ -706,38 +696,22 @@ func (c *Chain) setCanonicalHead(h types.Hash, entry *blockEntry) []*types.Trans
 }
 
 // process applies txs in block order to st, crediting the coinbase with the
-// block reward and all fees, and returns the per-transaction receipts. The
-// heavy lifting goes through the execution engine: serial when
-// cfg.ExecWorkers is 0 or 1, otherwise optimistic parallel speculation with
-// deterministic in-order commit (internal/exec) — both produce identical
-// receipts and post-state.
+// block reward and all fees, and returns the per-transaction receipts.
 func (c *Chain) process(st *state.State, txs []*types.Transaction, coinbase types.Address) ([]*types.Receipt, uint64, error) {
 	if err := st.AddBalance(coinbase, c.cfg.BlockReward); err != nil {
 		return nil, 0, err
 	}
 	receipts := make([]*types.Receipt, 0, len(txs))
 	var gasUsed uint64
-	gasOverflow := false
-	err := exec.Run(st, txs, coinbase, exec.Workers(c.cfg.ExecWorkers),
-		func(s exec.TxState, tx *types.Transaction) *types.Receipt {
-			return c.applyTransaction(s, tx, coinbase)
-		},
-		func(i int, r *types.Receipt) exec.Decision {
-			sum, carry := bits.Add64(gasUsed, r.GasUsed, 0)
-			if carry != 0 {
-				gasOverflow = true
-				return exec.Stop
-			}
-			gasUsed = sum
-			receipts = append(receipts, r)
-			return exec.Commit
-		})
-	if err != nil {
-		//shardlint:statesafe process validates a throwaway st copy; every caller discards it when an error is returned
-		return nil, 0, err
-	}
-	if gasOverflow {
-		return nil, 0, fmt.Errorf("%w: %d receipts", ErrGasOverflow, len(receipts))
+	for _, tx := range txs {
+		r := c.applyTransaction(st, tx, coinbase)
+		sum, carry := bits.Add64(gasUsed, r.GasUsed, 0)
+		if carry != 0 {
+			//shardlint:statesafe process validates a throwaway st copy; every caller discards it when an error is returned
+			return nil, 0, fmt.Errorf("%w: %d receipts", ErrGasOverflow, len(receipts))
+		}
+		gasUsed = sum
+		receipts = append(receipts, r)
 	}
 	return receipts, gasUsed, nil
 }
@@ -745,11 +719,7 @@ func (c *Chain) process(st *state.State, txs []*types.Transaction, coinbase type
 // applyTransaction executes one transaction. Invalid transactions leave the
 // state untouched and yield a ReceiptInvalid; reverted contract calls keep
 // the fee and nonce change but roll everything else back.
-//
-// It is written against exec.TxState so the same code runs serially on the
-// ledger state and speculatively on a state.Recorder overlay under the
-// parallel engine.
-func (c *Chain) applyTransaction(st exec.TxState, tx *types.Transaction, coinbase types.Address) *types.Receipt {
+func (c *Chain) applyTransaction(st *state.State, tx *types.Transaction, coinbase types.Address) *types.Receipt {
 	r := &types.Receipt{TxHash: tx.Hash(), Shard: c.cfg.ShardID}
 	// The entry snapshot is taken before the first mutation so every
 	// invalid path can restore it: without the revert, a transaction whose
@@ -870,38 +840,33 @@ func (c *Chain) BuildBlockWithProof(coinbase types.Address, proof []byte, txs []
 	}
 	st := hstate.Copy()
 
-	// Dry-run to drop invalid transactions and respect block limits; the
-	// execution engine parallelizes the speculation when cfg.ExecWorkers
-	// allows, with the inclusion policy decided in candidate order exactly
-	// as the serial loop would.
+	// Dry-run to drop invalid transactions and respect block limits. Each
+	// candidate runs inside a snapshot so a skipped or non-fitting one
+	// leaves no trace.
 	if err := st.AddBalance(coinbase, c.cfg.BlockReward); err != nil {
 		return nil, nil, err
 	}
 	var included []*types.Transaction
 	var receipts []*types.Receipt
 	var gasUsed uint64
-	err := exec.Run(st, txs, coinbase, exec.Workers(c.cfg.ExecWorkers),
-		func(s exec.TxState, tx *types.Transaction) *types.Receipt {
-			return c.applyTransaction(s, tx, coinbase)
-		},
-		func(i int, r *types.Receipt) exec.Decision {
-			if len(included) >= c.cfg.MaxBlockTxs {
-				return exec.Stop
+	for _, tx := range txs {
+		snap := st.Snapshot()
+		r := c.applyTransaction(st, tx, coinbase)
+		invalid := r.Status == types.ReceiptInvalid
+		sum, carry := bits.Add64(gasUsed, r.GasUsed, 0)
+		full := len(included) >= c.cfg.MaxBlockTxs || (!invalid && (carry != 0 || sum > c.cfg.GasLimit))
+		if invalid || full {
+			if err := st.RevertToSnapshot(snap); err != nil {
+				return nil, nil, err
 			}
-			if r.Status == types.ReceiptInvalid {
-				return exec.Skip
+			if full {
+				break
 			}
-			sum, carry := bits.Add64(gasUsed, r.GasUsed, 0)
-			if carry != 0 || sum > c.cfg.GasLimit {
-				return exec.Stop
-			}
-			gasUsed = sum
-			included = append(included, txs[i])
-			receipts = append(receipts, r)
-			return exec.Commit
-		})
-	if err != nil {
-		return nil, nil, err
+			continue
+		}
+		gasUsed = sum
+		included = append(included, tx)
+		receipts = append(receipts, r)
 	}
 	st.DiscardJournal()
 

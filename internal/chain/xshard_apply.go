@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"contractshard/internal/crypto"
-	"contractshard/internal/exec"
+	"contractshard/internal/state"
 	"contractshard/internal/types"
 	"contractshard/internal/xshard"
 )
@@ -34,7 +34,7 @@ var consumedValue = []byte{1}
 //
 // The receipt, r and invalid arguments are applyTransaction's: the invalid
 // closure reverts to the pre-transaction snapshot.
-func (c *Chain) applyBurn(st exec.TxState, tx *types.Transaction, coinbase types.Address, r *types.Receipt, invalid func(error) *types.Receipt) *types.Receipt {
+func (c *Chain) applyBurn(st *state.State, tx *types.Transaction, coinbase types.Address, r *types.Receipt, invalid func(error) *types.Receipt) *types.Receipt {
 	// Shape: a burn moves plain value between shards — no contract call, no
 	// extra inputs, no piggybacked proof — and must name this shard as its
 	// source and a different shard as its destination. The signature covers
@@ -94,7 +94,7 @@ func (c *Chain) applyBurn(st exec.TxState, tx *types.Transaction, coinbase types
 // property state already has: it is committed by the state root, journaled
 // for snapshot/revert, per-branch across reorgs, persisted by checkpoints,
 // and rebuilt by body replay during crash recovery.
-func (c *Chain) applyMint(st exec.TxState, tx *types.Transaction, r *types.Receipt, invalid func(error) *types.Receipt) *types.Receipt {
+func (c *Chain) applyMint(st *state.State, tx *types.Transaction, r *types.Receipt, invalid func(error) *types.Receipt) *types.Receipt {
 	if err := xshard.CheckMint(tx); err != nil {
 		return invalid(err)
 	}

@@ -136,9 +136,8 @@ func (w Word) IsZero() bool { return w == Word{} }
 func (w Word) Bytes() []byte { return w[:] }
 
 // StateDB is the ledger surface the VM reads and mutates. *state.State
-// implements it for serial execution and *state.Recorder for speculative
-// execution under the parallel engine (internal/exec); the VM itself cannot
-// tell the difference, which is what makes optimistic re-execution safe.
+// implements it; the interface keeps this package independent of
+// internal/state.
 type StateDB interface {
 	GetBalance(addr types.Address) uint64
 	Transfer(from, to types.Address, amount uint64) error

@@ -17,8 +17,8 @@ import (
 // "Long-lived shared struct" is approximated as a named struct type that
 // carries a sync.Mutex/RWMutex field: in this codebase exactly the
 // process-lifetime shared objects (Chain, Pool, Syncer, HeaderBook, the
-// call-graph) are mutex-guarded, while per-call values (State, Recorder,
-// tx contexts) are documented as single-goroutine and carry none.
+// call-graph) are mutex-guarded, while per-call values (State, tx
+// contexts) are documented as single-goroutine and carry none.
 //
 // A field is bounded if the package contains any of: a delete(f, ...), a
 // reassignment of the field that is not a self-append (generation reset,

@@ -23,8 +23,7 @@
 // can/cannot-prove contract):
 //
 //   - statesafe: snapshot-before-mutate / revert-on-failure discipline for
-//     state.State / exec.TxState consumers (the invalid-receipt leakage
-//     class).
+//     state.State consumers (the invalid-receipt leakage class).
 //   - ovflow: unchecked uint64 +, -, * on money-named consensus
 //     quantities outside guard idioms and math/bits helpers (the
 //     value+fee solvency wraparound class).
@@ -67,7 +66,6 @@ var DefaultConsensusPackages = []string{
 	"internal/chain",
 	"internal/contract",
 	"internal/callgraph",
-	"internal/exec",
 	"internal/store",
 	"internal/xshard",
 }

@@ -10,9 +10,9 @@ import (
 // statesafe mechanizes the snapshot/revert discipline around ledger
 // mutation (DESIGN.md "Determinism discipline"): in consensus packages, a
 // function that mutates a state-like value (anything with Snapshot() /
-// RevertToSnapshot(), i.e. state.State, state.Recorder or the exec.TxState
-// interface) and can leave through a failure path must take a Snapshot
-// before the first mutation and revert before reporting the failure.
+// RevertToSnapshot(), i.e. state.State) and can leave through a failure
+// path must take a Snapshot before the first mutation and revert before
+// reporting the failure.
 // Without the revert, an invalid transaction leaks partial mutations — the
 // PR 5 invalid-receipt bug class: a bumped nonce and a debited fee survive
 // a ReceiptInvalid, and two miners that disagree on the invalidity point
@@ -49,7 +49,7 @@ import (
 
 // statesafeMutators is the mutating method-name set of the state types.
 var statesafeMutators = map[string]bool{
-	"AddBalance": true, "SubBalance": true, "SetBalance": true,
+	"AddBalance": true, "SubBalance": true,
 	"SetNonce": true, "SetCode": true, "SetStorage": true, "Transfer": true,
 }
 

@@ -63,9 +63,6 @@ type Config struct {
 	ZipfS float64
 	// FeeMax caps per-sender fees (defaults to 100).
 	FeeMax int
-	// ExecWorkers is the per-shard parallel-execution worker count
-	// (0 or 1 = serial reference engine).
-	ExecWorkers int
 	// StateHistory bounds resident post-states per shard (defaults to 4;
 	// a million-account run cannot keep a state copy per block).
 	StateHistory int
@@ -88,7 +85,6 @@ func DefaultConfig() Config {
 		Seed:          1,
 		ZipfS:         1.2,
 		FeeMax:        100,
-		ExecWorkers:   0,
 		StateHistory:  4,
 	}
 }
@@ -252,7 +248,6 @@ func Run(cfg Config) (*Result, error) {
 		ccfg := chain.DefaultConfig(sr.id)
 		ccfg.Difficulty = 16
 		ccfg.MaxBlockTxs = cfg.TxsPerBlock
-		ccfg.ExecWorkers = cfg.ExecWorkers
 		ccfg.StateHistory = cfg.StateHistory
 		sr.book = xshard.NewHeaderBook(cfg.Finality, nil)
 		ccfg.XShard = sr.book

@@ -4,10 +4,9 @@ import (
 	"testing"
 )
 
-// smokeConfig is the ISSUE's determinism gate: 10^4 accounts over 4 shards
+// smokeConfig is the tier-1 determinism gate: 10^4 accounts over 4 shards
 // with a fixed seed, small enough for tier-1 but still driving every phase —
-// Zipf transfers, hot-contract serialization, and the burn→relay→mint ring —
-// through the parallel execution engine.
+// Zipf transfers, hot-contract serialization, and the burn→relay→mint ring.
 func smokeConfig() Config {
 	return Config{
 		Accounts:      10_000,
@@ -20,14 +19,13 @@ func smokeConfig() Config {
 		Finality:      2,
 		Seed:          42,
 		ZipfS:         1.2,
-		ExecWorkers:   4,
 		StateHistory:  4,
 	}
 }
 
 // TestSoakSmokeDeterministic runs the smoke soak twice and demands
 // bit-identical final state roots (and heights, and hot counters) — the
-// whole pipeline, from key derivation through parallel execution to relayed
+// whole pipeline, from key derivation through block execution to relayed
 // mints, must be a pure function of the Config.
 func TestSoakSmokeDeterministic(t *testing.T) {
 	a, err := Run(smokeConfig())

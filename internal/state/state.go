@@ -95,22 +95,11 @@ func (s *State) GetBalance(addr types.Address) uint64 {
 	return 0
 }
 
-// errOverflow and errInsufficient build the balance-mutation errors. State
-// and Recorder share them so a speculative execution produces bit-identical
-// receipt text to the serial path it replaces.
-func errOverflow(addr types.Address, amount uint64) error {
-	return fmt.Errorf("%w: %s + %d", ErrBalanceOverflow, addr, amount)
-}
-
-func errInsufficient(addr types.Address, have, need uint64) error {
-	return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientBalance, addr, have, need)
-}
-
 // AddBalance credits amount to addr.
 func (s *State) AddBalance(addr types.Address, amount uint64) error {
 	a, created := s.getOrNew(addr)
 	if a.balance+amount < a.balance {
-		return errOverflow(addr, amount)
+		return fmt.Errorf("%w: %s + %d", ErrBalanceOverflow, addr, amount)
 	}
 	s.journal = append(s.journal, journalEntry{addr: addr, kind: jBalance, prevU64: a.balance, created: created})
 	a.balance += amount
@@ -122,23 +111,12 @@ func (s *State) AddBalance(addr types.Address, amount uint64) error {
 func (s *State) SubBalance(addr types.Address, amount uint64) error {
 	a, created := s.getOrNew(addr)
 	if a.balance < amount {
-		return errInsufficient(addr, a.balance, amount)
+		return fmt.Errorf("%w: %s has %d, needs %d", ErrInsufficientBalance, addr, a.balance, amount)
 	}
 	s.journal = append(s.journal, journalEntry{addr: addr, kind: jBalance, prevU64: a.balance, created: created})
 	a.balance -= amount
 	s.dirty()
 	return nil
-}
-
-// SetBalance overwrites the account balance. It exists for the parallel
-// execution engine's commit step, which replays a speculative overlay's
-// final balances onto the canonical state; ordinary transaction code should
-// use AddBalance/SubBalance so solvency stays checked.
-func (s *State) SetBalance(addr types.Address, balance uint64) {
-	a, created := s.getOrNew(addr)
-	s.journal = append(s.journal, journalEntry{addr: addr, kind: jBalance, prevU64: a.balance, created: created})
-	a.balance = balance
-	s.dirty()
 }
 
 // Transfer moves amount from one account to another atomically.

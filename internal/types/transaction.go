@@ -52,7 +52,7 @@ type Transaction struct {
 	Sig    []byte
 
 	// cachedHash memoizes Hash(). Atomic because transactions are hashed
-	// concurrently (parallel execution workers, the verify cache); the
+	// concurrently (concurrent AddBlock re-executions, the verify cache); the
 	// noCopy inside makes stale-cache struct copies a vet error.
 	cachedHash atomic.Pointer[Hash]
 }

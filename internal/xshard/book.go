@@ -80,9 +80,9 @@ var (
 // including mints — skips re-verifying headers the miner had already
 // checked before the crash.
 //
-// HeaderBook is safe for concurrent use: the chain's parallel execution
-// engine calls AcceptProof from worker goroutines while the node's gossip
-// handler may be adding a freshly announced header.
+// HeaderBook is safe for concurrent use: concurrent AddBlock calls
+// re-execute bodies outside the chain lock and call AcceptProof while the
+// node's gossip handler may be adding a freshly announced header.
 type HeaderBook struct {
 	mu       sync.RWMutex
 	verify   func(*types.Header) error // optional extra check, may be nil
